@@ -86,6 +86,17 @@ func run(args []string) (code int) {
 	ctx, stop := cli.SignalContext(context.Background(), os.Stderr)
 	defer stop()
 
+	// A campaign observes its machine runs only through per-worker
+	// flight shards, each seed under a fresh monitor set built from
+	// this spec, so the session itself gets no monitors and no shared
+	// recorder: one would be attached to no run, and its post-mortem
+	// dumps would always be empty.
+	monitorSpec := obsOpts.Monitors
+	if _, err := serve.ParseMonitors(monitorSpec, obs.NewRegistry()); err != nil {
+		fmt.Fprintln(os.Stderr, "obs:", err)
+		return 1
+	}
+	obsOpts.Monitors = ""
 	sess, err := obsOpts.Start(nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "obs:", err)
@@ -104,7 +115,6 @@ func run(args []string) (code int) {
 		MaxStates:        *maxStates,
 		CrossCheckStates: *crossCheck,
 		Metrics:          reg,
-		Sinks:            sess.Sinks(),
 		Workers:          *workers,
 	}
 	if cfg.Deltas, err = parseDeltas(*deltasStr); err != nil {
@@ -129,20 +139,17 @@ func run(args []string) (code int) {
 			jsonOut: *jsonOut, metrics: *metrics, verbose: *verbose,
 			flightDir: obsOpts.FlightDir,
 		}
-		if obsOpts.Monitors != "" || obsOpts.FlightDir != "" {
-			// Campaigns record flight data through per-worker shards
-			// instead of serializing every machine run through the
-			// session's shared recorder: each seed gets a fresh monitor
-			// set (exact violation attribution) and no lock is taken on
-			// the event hot path. The session recorder stays attached
-			// only for the unconditional interrupt post-mortem dump.
-			spec := obsOpts.Monitors
+		if monitorSpec != "" || obsOpts.FlightDir != "" {
+			// Each seed gets a fresh monitor set (exact violation
+			// attribution) and no lock is taken on the event hot path.
+			// The campaign flight dump, written on every exit path of
+			// the campaign loop, is the post-mortem of an interrupt.
 			var factory func() *monitor.Set
-			if spec != "" {
+			if monitorSpec != "" {
 				factory = func() *monitor.Set {
-					set, err := serve.ParseMonitors(spec, reg)
+					set, err := serve.ParseMonitors(monitorSpec, reg)
 					if err != nil {
-						// Options.Start validated the spec already.
+						// The spec was validated before the session started.
 						panic("tbtso-fuzz: monitor spec: " + err.Error())
 					}
 					return set
@@ -150,7 +157,6 @@ func run(args []string) (code int) {
 			}
 			camp.flight = monitor.NewShardedFlight(factory, monitor.DefaultFlightSeeds)
 			camp.cfg.Flight = camp.flight
-			camp.cfg.Sinks = nil
 		}
 		if srv := sess.Server(); srv != nil {
 			srv.SetCoverage(camp.liveCoverage)

@@ -66,8 +66,9 @@ func runFuzz(t *testing.T, args ...string) (string, string, int) {
 
 // TestSigintCheckpointResume interrupts a live parallel campaign with
 // SIGINT mid-flight and asserts the whole graceful-drain contract:
-// exit 130, a valid resumable checkpoint, the unconditional interrupt
-// flight-recorder artifact, and a resumed run (at a different worker
+// exit 130, a valid resumable checkpoint, a campaign flight dump that
+// covers the checkpointed prefix (and no empty flight artifact), and a
+// resumed run (at a different worker
 // count) whose summary is byte-identical to an uninterrupted campaign's
 // once elapsed_ms is zeroed.
 func TestSigintCheckpointResume(t *testing.T) {
@@ -91,7 +92,7 @@ func TestSigintCheckpointResume(t *testing.T) {
 	}
 
 	// Interrupted: 4 workers, periodic checkpoints, monitors on so the
-	// interrupt flight dump has a recorder to drain.
+	// campaign records flight data for the post-mortem.
 	cmd := exec.Command(binPath, campaignFlags(
 		"-workers", "4", "-ckpt", ckpt, "-ckpt.every", "50",
 		"-obs.monitor", "drain", "-obs.flightdir", tmp,
@@ -165,14 +166,40 @@ func TestSigintCheckpointResume(t *testing.T) {
 		t.Error("interrupted checkpoint claims the campaign is done")
 	}
 
-	// The interrupt flight-recorder artifact was dumped unconditionally.
-	ff, err := os.Open(filepath.Join(tmp, "tbtso-fuzz.interrupt.flight.json"))
+	// The interrupt post-mortem is the campaign flight dump: it parses,
+	// holds the recorded events, and covers exactly the checkpointed
+	// prefix. No flight artifact of the run is empty.
+	flights, err := filepath.Glob(filepath.Join(tmp, "*.flight.json"))
 	if err != nil {
-		t.Fatalf("interrupt flight artifact: %v", err)
+		t.Fatal(err)
+	}
+	for _, path := range flights {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TotalEvents uint64 `json:"total_events"`
+		}
+		if err := json.Unmarshal(blob, &doc); err != nil {
+			t.Fatalf("%s does not parse: %v", path, err)
+		}
+		if doc.TotalEvents == 0 {
+			t.Errorf("%s is a flight artifact with zero events", filepath.Base(path))
+		}
+	}
+	ff, err := os.Open(filepath.Join(tmp, "tbtso-fuzz.campaign.flight.json"))
+	if err != nil {
+		t.Fatalf("campaign flight artifact: %v", err)
 	}
 	defer ff.Close()
-	if _, err := monitor.ReadFlightDump(ff); err != nil {
-		t.Fatalf("interrupt flight artifact does not parse: %v", err)
+	dump, err := monitor.ReadCampaignFlightDump(ff)
+	if err != nil {
+		t.Fatalf("campaign flight artifact does not parse: %v", err)
+	}
+	if dump.TotalEvents == 0 || dump.NextSeed != ck.NextSeed {
+		t.Errorf("campaign flight dump: total_events=%d next_seed=%d, want >0 and the checkpoint cursor %d",
+			dump.TotalEvents, dump.NextSeed, ck.NextSeed)
 	}
 
 	// Resume at a different worker count: the report is worker-count
@@ -228,4 +255,3 @@ func TestResumeRejectsForeignConfig(t *testing.T) {
 		t.Errorf("rejection stderr lacks %q:\n%s", want, stderr)
 	}
 }
-

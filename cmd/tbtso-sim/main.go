@@ -6,9 +6,25 @@
 //	tbtso-sim                          # all litmus tests, TSO and TBTSO
 //	tbtso-sim -test SB -delta 0        # one test on plain TSO
 //	tbtso-sim -seeds 500 -stall 0.2    # wider exploration
-//	tbtso-sim -trace -test TBTSO-flag  # print one execution's trace
 //	tbtso-sim -demo reclaim            # the §4 soundness matrix, live
 //	tbtso-sim -demo deque              # the §8 work-stealing matrix
+//	tbtso-sim -list                    # available litmus tests and demos
+//
+// With -trace FILE it instead runs ONE execution with streaming sinks
+// attached, prints its event list (litmus tests) and a metrics summary,
+// and writes the execution as a Chrome trace-event/Perfetto JSON file
+// (open at https://ui.perfetto.dev). The litmus execution is the one at
+// -seed (default 0) under -policy (default adversarial); a demo traces
+// its single fence-free run at -delta:
+//
+//	tbtso-sim -test SB -delta 50 -seed 1 -policy random -trace t.json  # a litmus test
+//	tbtso-sim -demo reclaim -delta 50 -trace t.json                    # the §4 reclamation race (FFHP)
+//	tbtso-sim -demo deque -delta 200 -seed 1 -trace t.json             # one §8 work-stealing harvest
+//
+// The trace has one track per machine thread: dur-1 slices for stores,
+// loads, RMWs and fences; commit slices carrying the drain cause; flow
+// arrows from each store to its commit (the store-buffer residency);
+// and a buffered-stores counter track per thread.
 package main
 
 import (
@@ -16,11 +32,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"tbtso/internal/cli"
+	"tbtso/internal/fuzz"
 	"tbtso/internal/litmus"
 	"tbtso/internal/machalg"
 	"tbtso/internal/mc"
+	"tbtso/internal/obs"
 	"tbtso/internal/obs/serve"
 	"tbtso/internal/tso"
 )
@@ -35,17 +54,42 @@ func main() {
 func run(args []string) (code int) {
 	fs := flag.NewFlagSet("tbtso-sim", flag.ContinueOnError)
 	var (
-		name  = fs.String("test", "", "litmus test name (default: all)")
-		delta = fs.Uint64("delta", 200, "TBTSO Δ bound in ticks (0 = plain TSO)")
-		seeds = fs.Int("seeds", 100, "scheduler seeds per drain policy")
-		stall = fs.Float64("stall", 0, "per-tick thread stall probability")
-		trace = fs.Bool("trace", false, "print the execution trace of seed 0 (adversarial policy)")
-		demo  = fs.String("demo", "", "run a soundness demo: reclaim or deque")
-		exh   = fs.Bool("exhaustive", false, "enumerate ALL executions of the canonical programs with the model checker")
+		name   = fs.String("test", "", "litmus test name (default: all)")
+		delta  = fs.Uint64("delta", 200, "TBTSO Δ bound in ticks (0 = plain TSO)")
+		seeds  = fs.Int("seeds", 100, "scheduler seeds per drain policy")
+		stall  = fs.Float64("stall", 0, "per-tick thread stall probability")
+		trace  = fs.String("trace", "", "run ONE execution of -test or -demo and write it to this Perfetto JSON file")
+		seed   = fs.Int64("seed", 0, "scheduler seed of the -trace execution")
+		policy = fs.String("policy", "adversarial", "drain policy of the -trace litmus execution: eager, random, or adversarial")
+		demo   = fs.String("demo", "", "run a soundness demo: reclaim or deque")
+		exh    = fs.Bool("exhaustive", false, "enumerate ALL executions of the canonical programs with the model checker")
+		list   = fs.Bool("list", false, "list the available litmus tests and demos and exit")
 	)
 	var obsOpts serve.Options
 	obsOpts.Register(fs)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	if *list {
+		fmt.Println("litmus tests:")
+		for _, e := range litmus.All() {
+			note := ""
+			if e.NeedsDelta {
+				note = "  (needs -delta > 0)"
+			}
+			fmt.Printf("  %-28s %s%s\n", e.Test.Name, e.Test.Doc, note)
+		}
+		fmt.Println("demos: reclaim, deque")
+		return 0
+	}
+	pol, err := fuzz.ParsePolicy(*policy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	if *trace != "" && (*name == "") == (*demo == "") {
+		fmt.Fprintln(os.Stderr, "-trace needs exactly one of -test or -demo (try -list)")
 		return 2
 	}
 
@@ -67,6 +111,10 @@ func run(args []string) (code int) {
 	if *exh {
 		exhaustive()
 		return 0
+	}
+
+	if *trace != "" {
+		return traceOne(sess, *trace, *name, *demo, tso.Config{Delta: *delta, Policy: pol, Seed: *seed})
 	}
 
 	if *demo != "" {
@@ -117,27 +165,98 @@ func run(args []string) (code int) {
 			fmt.Printf("  error: %v\n", err)
 		}
 		fmt.Println()
-
-		if *trace {
-			out, tr, err := traceOnce(t, d)
-			if err != nil {
-				fmt.Printf("  trace error: %v\n", err)
-				continue
-			}
-			fmt.Printf("  trace (seed 0, adversarial): outcome %s\n", out.Key())
-			for _, e := range tr {
-				fmt.Printf("    %s\n", e)
-			}
-			fmt.Println()
-		}
 	}
 	if !found && ctx.Err() == nil {
-		fmt.Fprintf(os.Stderr, "no litmus test named %q; available:\n", *name)
-		for _, e := range all {
-			fmt.Fprintf(os.Stderr, "  %s\n", e.Test.Name)
-		}
+		unknownTest(*name)
 		return 2
 	}
+	return 0
+}
+
+// unknownTest reports a -test name that matches no litmus test.
+func unknownTest(name string) {
+	fmt.Fprintf(os.Stderr, "no litmus test named %q; available:\n", name)
+	for _, e := range litmus.All() {
+		fmt.Fprintf(os.Stderr, "  %s\n", e.Test.Name)
+	}
+}
+
+// traceOne runs the single -trace execution — litmus test name under
+// cfg, or the demo's one fence-free run at cfg.Delta — with a Perfetto
+// exporter, machine metrics and the session's sinks attached, then
+// writes the trace to path. It returns a process exit code instead of
+// exiting, so deferred teardown still runs.
+func traceOne(sess *serve.Session, path, name, demo string, cfg tso.Config) int {
+	perf := obs.NewPerfetto()
+	cfg.Sinks = append([]tso.Sink{perf, obs.NewMachineMetrics(sess.Registry)}, sess.Sinks()...)
+
+	switch {
+	case name != "":
+		var (
+			t                 litmus.Test
+			found, needsDelta bool
+		)
+		for _, e := range litmus.All() {
+			if strings.EqualFold(e.Test.Name, name) {
+				t, needsDelta, found = e.Test, e.NeedsDelta, true
+				break
+			}
+		}
+		if !found {
+			unknownTest(name)
+			return 2
+		}
+		if needsDelta && cfg.Delta == 0 {
+			fmt.Printf("%s: requires Δ > 0; running with Δ=200\n", t.Name)
+			cfg.Delta = 200
+		}
+		out, events, err := litmus.OnceTraced(t, cfg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", t.Name, err)
+			return 1
+		}
+		fmt.Printf("%s (Δ=%d, policy=%v, seed=%d): %s\n", t.Name, cfg.Delta, cfg.Policy, cfg.Seed, out.Key())
+		if t.Forbidden != nil && t.Forbidden(out) {
+			fmt.Println("  NOTE: this outcome is forbidden under the test's target model")
+		}
+		for _, e := range events {
+			fmt.Printf("    %s\n", e)
+		}
+	case demo == "reclaim":
+		r := machalg.ReclaimRaceDemo(cfg.Delta, machalg.HPFenceFree, cfg.Sinks...)
+		if r.Err != nil {
+			fmt.Fprintf(os.Stderr, "reclaim demo: %v\n", r.Err)
+			return 1
+		}
+		fmt.Printf("reclaim race (Δ=%d, FFHP): use-after-free=%v freed-early=%v\n",
+			cfg.Delta, r.UseAfterFree, r.FreedEarly)
+	case demo == "deque":
+		r := machalg.DequeOnce(cfg.Delta, 0, cfg.Delta > 0, cfg.Seed, cfg.Sinks...)
+		fmt.Printf("deque harvest (Δ=%d, seed=%d): duplicated=%d lost=%d\n",
+			cfg.Delta, cfg.Seed, r.Duplicated, r.Lost)
+	default:
+		fmt.Fprintf(os.Stderr, "unknown demo %q (reclaim, deque)\n", demo)
+		return 2
+	}
+
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	if err := perf.WriteJSON(f); err == nil {
+		err = f.Close()
+	} else {
+		f.Close()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
+		return 1
+	}
+	fmt.Printf("wrote %s (%d trace events) — open at https://ui.perfetto.dev\n", path, perf.EventCount())
+
+	fmt.Println("\nmetrics:")
+	sess.Registry.WriteText(os.Stdout)
 	return 0
 }
 
@@ -251,17 +370,6 @@ func demoDeque() {
 	}
 	fmt.Println("\nspatial bounding (TSO[S]) does not make fence-free stealing safe; the")
 	fmt.Println("temporal bound does — the §8 contrast, executable")
-}
-
-func traceOnce(t litmus.Test, delta uint64) (litmus.Outcome, []tso.Event, error) {
-	// Re-run a single execution with tracing on.
-	out, tr, err := litmus.OnceTraced(t, tso.Config{
-		Delta:  delta,
-		Policy: tso.DrainAdversarial,
-		Seed:   0,
-		Trace:  true,
-	})
-	return out, tr, err
 }
 
 func indent(s string) string {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 
+	"tbtso/internal/atomicfile"
 	"tbtso/internal/fuzz"
 )
 
@@ -92,22 +93,11 @@ func (sp *SweepProgress) Lookup(p *Pair) []SweepPoint {
 	return pp.Points
 }
 
-// WriteSweepProgress atomically persists the document (temp + rename).
+// WriteSweepProgress atomically persists the document (atomicfile:
+// fsynced temp file + rename).
 func WriteSweepProgress(path string, sp *SweepProgress) error {
-	blob, err := json.MarshalIndent(sp, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	_, err := atomicfile.WriteJSON(path, sp)
+	return err
 }
 
 // ReadSweepProgress loads a progress document for a resume under opt.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"tbtso/internal/atomicfile"
 	"tbtso/internal/obs"
 	"tbtso/internal/obs/coverage"
 )
@@ -186,24 +187,11 @@ func (ck *Checkpoint) Validate(hash string) error {
 	return nil
 }
 
-// WriteCheckpoint atomically persists the checkpoint (temp file +
-// rename, so an interruption mid-write can never leave a torn
-// checkpoint behind) and returns the byte size written.
+// WriteCheckpoint atomically persists the checkpoint (atomicfile:
+// fsynced temp file + rename, so an interruption mid-write can never
+// leave a torn checkpoint behind) and returns the byte size written.
 func WriteCheckpoint(path string, ck *Checkpoint) (int, error) {
-	blob, err := json.MarshalIndent(ck, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	blob = append(blob, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return len(blob), nil
+	return atomicfile.WriteJSON(path, ck)
 }
 
 // CheckpointWriteBuckets are the fuzz.campaign.checkpoint_write_ns

@@ -1,7 +1,10 @@
 package fuzz
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -106,13 +109,13 @@ func sampleMismatches() []Mismatch {
 		},
 		{
 			Kind: KindEngineDivergence, Seed: 43, Delta: 0,
-			Detail: "parallel/sequential outcome sets differ",
+			Detail:  "parallel/sequential outcome sets differ",
 			Program: ckptProg(),
 		},
 		{
 			Kind: KindMachineError, Seed: 44, Delta: 3, Cover: 15,
 			Policy: tso.DrainEager, MachSeed: 1,
-			Detail: "machine fault: deadlock",
+			Detail:  "machine fault: deadlock",
 			Program: ckptProg(),
 		},
 	}
@@ -152,8 +155,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nbytes <= 0 {
-		t.Fatalf("WriteCheckpoint reported %d bytes", nbytes)
+	// The on-disk bytes are the indented JSON document plus a newline —
+	// the format every earlier checkpoint was written in.
+	want, err := json.MarshalIndent(ck, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) || nbytes != len(want) {
+		t.Fatalf("WriteCheckpoint wrote %d bytes (reported %d, err %v), want the %d-byte indented document", len(got), nbytes, err, len(want))
 	}
 	back, err := ReadCheckpoint(path)
 	if err != nil {

@@ -42,25 +42,19 @@ type Config struct {
 	// Metrics, if non-nil, receives fuzz.* counters: programs, runs,
 	// explorations, truncated, mismatches.
 	Metrics *obs.Registry
-	// Sinks are attached to every sampled machine run — e.g. the
-	// obs/monitor online checkers, so a campaign's machine side runs
-	// under continuous Δ-residency verification. Sinks are not safe for
-	// concurrent use, so a parallel Run serializes the sampled machine
-	// runs of all workers around them (the checker explorations still
-	// parallelize; prefer Flight, which shards instead of serializing,
-	// for monitored throughput campaigns).
-	Sinks []tso.Sink
-	// Flight, if non-nil, is the sharded campaign flight recorder:
-	// worker w records every sampled run into Flight.Shard(w) — its own
+	// Flight, if non-nil, is the sharded campaign flight recorder and
+	// the one way to observe a campaign's machine runs: worker w
+	// records every sampled run into Flight.Shard(w) — its own
 	// lock-free shard, bracketed per program so interrupted checks
-	// leave no trace — and the campaign driver compacts/dumps at report
-	// boundaries. Unlike Sinks, Flight adds no serialization.
+	// leave no trace, with a fresh monitor set per seed when the
+	// recorder has a monitor factory — and the campaign driver
+	// compacts/dumps at report boundaries.
 	Flight *monitor.ShardedFlight
 	// Workers is the parallelism of Run: the (program, seed) space is
 	// sharded across this many workers, each with its own machine.
-	// 0 means GOMAXPROCS; 1 is fully serial. The merged Report is
-	// identical for every worker count (programs are independent and
-	// reports are merged in seed order).
+	// 0 means GOMAXPROCS. The merged Report is identical for every
+	// worker count (programs are independent and reports are merged in
+	// seed order).
 	Workers int
 }
 
@@ -109,15 +103,15 @@ const (
 // replay it: the program, the sweep Δ, and (for sampled-outcome and
 // machine-error kinds) the exact machine run.
 type Mismatch struct {
-	Kind    string
-	Seed    int64 // generator seed (0 if the program wasn't generated)
-	Delta   int   // sweep Δ, checker transitions
-	Cover   int   // covering Δ the containment was checked at
-	Policy  tso.DrainPolicy
+	Kind     string
+	Seed     int64 // generator seed (0 if the program wasn't generated)
+	Delta    int   // sweep Δ, checker transitions
+	Cover    int   // covering Δ the containment was checked at
+	Policy   tso.DrainPolicy
 	MachSeed int64
-	Outcome string // offending outcome (sampled-outcome kind)
-	Detail  string
-	Program mc.Program
+	Outcome  string // offending outcome (sampled-outcome kind)
+	Detail   string
+	Program  mc.Program
 }
 
 func (m Mismatch) String() string {
@@ -210,7 +204,7 @@ func diffOutcomes(a, b map[string]bool) string {
 // exhaustive outcome set at the covering Δ. seed tags mismatches for
 // replay; pass the generator seed (or 0 for hand-built programs).
 func CheckProgram(cfg Config, p mc.Program, seed int64) Report {
-	rep, _ := checkProgram(nil, cfg.orDefault(), NewSampler(), nil, nil, p, seed)
+	rep, _ := checkProgram(nil, cfg.orDefault(), NewSampler(), nil, p, seed)
 	return rep
 }
 
@@ -249,27 +243,23 @@ func observeProgram(rep *Report, p mc.Program) (threads, totalOps int) {
 }
 
 // checkProgram is CheckProgram with an explicit execution context: the
-// sampler is the worker-local machine the program's runs reuse, sinkMu
-// (nil in serial drivers) serializes sampled runs around the shared
-// cfg.Sinks in a parallel campaign, and shard (nil when cfg.Flight is
-// off) is the worker's private flight shard — every sampled run streams
-// into it lock-free, bracketed as one seed group. cfg must already be
-// defaulted. ctx (nil = uncancellable) cancels mid-check; complete is
-// false when the check was cut short, in which case the report is a
-// partial that MUST NOT be merged into a campaign — the program has to
-// be re-checked from scratch (it is deterministic per seed, so a re-run
-// reproduces the full report exactly), and the shard group is discarded
-// with it.
-func checkProgram(ctx context.Context, cfg Config, s *Sampler, sinkMu *sync.Mutex, shard *monitor.FlightShard, p mc.Program, seed int64) (rep Report, complete bool) {
+// sampler is the worker-local machine the program's runs reuse, and
+// shard (nil when cfg.Flight is off) is the worker's private flight
+// shard — every sampled run streams into it lock-free, bracketed as one
+// seed group. cfg must already be defaulted. ctx (nil = uncancellable)
+// cancels mid-check; complete is false when the check was cut short, in
+// which case the report is a partial that MUST NOT be merged into a
+// campaign — the program has to be re-checked from scratch (it is
+// deterministic per seed, so a re-run reproduces the full report
+// exactly), and the shard group is discarded with it.
+func checkProgram(ctx context.Context, cfg Config, s *Sampler, shard *monitor.FlightShard, p mc.Program, seed int64) (rep Report, complete bool) {
 	rep = Report{Programs: 1}
 	cfg.count("fuzz.programs", 1)
 	threads, totalOps := observeProgram(&rep, p)
 
-	sinks := cfg.Sinks
+	var sinks []tso.Sink
 	if shard != nil {
-		sinks = make([]tso.Sink, 0, len(cfg.Sinks)+1)
-		sinks = append(sinks, cfg.Sinks...)
-		sinks = append(sinks, shard)
+		sinks = []tso.Sink{shard}
 		shard.BeginGroup(seed)
 		defer func() { shard.EndGroup(complete) }()
 	}
@@ -340,13 +330,7 @@ func checkProgram(ctx context.Context, cfg Config, s *Sampler, sinkMu *sync.Mute
 				rep.Runs++
 				cfg.count("fuzz.runs", 1)
 				rep.Coverage.ObserveRun(delta, pol.String(), i)
-				if sinkMu != nil {
-					sinkMu.Lock()
-				}
 				outcome, mres, err := s.Sample(p, MachineRun{Delta: machDelta, Policy: pol, Seed: machSeed}, sinks...)
-				if sinkMu != nil {
-					sinkMu.Unlock()
-				}
 				if shard != nil {
 					shard.TagRun(coverage.CellKey(delta, pol.String(), i))
 				}
@@ -410,31 +394,6 @@ func RunContext(ctx context.Context, cfg Config, n int, startSeed int64) (Report
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		s := NewSampler()
-		var shard *monitor.FlightShard
-		if cfg.Flight != nil {
-			shard = cfg.Flight.Shard(0)
-		}
-		var rep Report
-		for i := 0; i < n; i++ {
-			if cancelled(ctx) {
-				return rep, i, ctx.Err()
-			}
-			seed := startSeed + int64(i)
-			r, ok := checkProgram(ctx, cfg, s, nil, shard, Gen(cfg.Gen, seed), seed)
-			if !ok {
-				return rep, i, ctx.Err()
-			}
-			rep.Add(r)
-		}
-		return rep, n, nil
-	}
-
-	var sinkMu *sync.Mutex
-	if len(cfg.Sinks) > 0 {
-		sinkMu = new(sync.Mutex)
-	}
 	reports := make([]Report, n)
 	complete := make([]bool, n) // written pre-wg.Done, read post-wg.Wait
 	var next atomic.Int64
@@ -457,7 +416,7 @@ func RunContext(ctx context.Context, cfg Config, n int, startSeed int64) (Report
 					return
 				}
 				seed := startSeed + int64(i)
-				reports[i], complete[i] = checkProgram(ctx, cfg, s, sinkMu, shard, Gen(cfg.Gen, seed), seed)
+				reports[i], complete[i] = checkProgram(ctx, cfg, s, shard, Gen(cfg.Gen, seed), seed)
 			}
 		}(w)
 	}

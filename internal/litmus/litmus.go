@@ -129,13 +129,6 @@ func (r Report) String() string {
 
 // Once executes a single run of the test and returns its outcome.
 func Once(t Test, cfg tso.Config) (Outcome, error) {
-	out, _, err := OnceTraced(t, cfg)
-	return out, err
-}
-
-// OnceTraced executes a single run and also returns the machine's
-// execution trace (empty unless cfg.Trace is set).
-func OnceTraced(t Test, cfg tso.Config) (Outcome, []tso.Event, error) {
 	m := tso.New(cfg)
 	env := &Env{
 		vars:    make(map[string]tso.Addr, len(t.Vars)),
@@ -152,7 +145,7 @@ func OnceTraced(t Test, cfg tso.Config) (Outcome, []tso.Event, error) {
 	}
 	res := m.Run()
 	if res.Err != nil {
-		return nil, m.Trace(), res.Err
+		return nil, res.Err
 	}
 	out := make(Outcome)
 	for i, regs := range env.regs {
@@ -160,7 +153,17 @@ func OnceTraced(t Test, cfg tso.Config) (Outcome, []tso.Event, error) {
 			out[fmt.Sprintf("T%d:%s", i, r)] = v
 		}
 	}
-	return out, m.Trace(), nil
+	return out, nil
+}
+
+// OnceTraced executes a single run with a tso.Recorder attached after
+// cfg.Sinks and also returns the recorded execution trace (the events
+// up to the failure when the run errs).
+func OnceTraced(t Test, cfg tso.Config) (Outcome, []tso.Event, error) {
+	rec := &tso.Recorder{}
+	cfg.Sinks = append(cfg.Sinks[:len(cfg.Sinks):len(cfg.Sinks)], rec)
+	out, err := Once(t, cfg)
+	return out, rec.Events, err
 }
 
 // Run explores the test across seeds and policies and aggregates the

@@ -23,9 +23,9 @@ const (
 )
 
 // Violation records a memory-safety violation detected by the
-// allocator's machine monitor.
+// allocator's machine sink.
 type Violation struct {
-	Kind   string // "load", "store", "commit"
+	Kind   string // "load", "store", "commit", "rmw" or "free"
 	Thread int
 	Addr   tso.Addr
 	Tick   uint64
@@ -36,14 +36,15 @@ func (v Violation) String() string {
 }
 
 // Allocator is a fixed-pool object allocator for machine memory with
-// use-after-free detection. It implements tso.Monitor: any load from,
-// store to, or store-buffer commit into a freed object is recorded as a
-// violation. This is the machine-level analogue of the poisoned arena
-// the native code uses — it makes misreclamation observable.
+// use-after-free detection. It is a tso.Sink: any load from memory,
+// store to, store-buffer commit into, or RMW on a freed object is
+// recorded as a violation. This is the machine-level analogue of the
+// poisoned arena the native code uses — it makes misreclamation
+// observable.
 //
-// Alloc and Free are called from thread goroutines while the monitor
-// callbacks run on the machine's scheduler goroutine, so all metadata
-// is mutex-protected.
+// Alloc and Free are called from thread goroutines while Emit runs on
+// the machine's scheduler goroutine, so all metadata is
+// mutex-protected.
 type Allocator struct {
 	mu       sync.Mutex
 	base     tso.Addr
@@ -56,8 +57,8 @@ type Allocator struct {
 }
 
 // NewAllocator reserves capacity objects of objWords words each from
-// the machine's memory and returns the allocator. It installs itself as
-// the machine's Monitor so violations are detected automatically.
+// the machine's memory and returns the allocator. It attaches itself to
+// the machine as a sink so violations are detected automatically.
 func NewAllocator(m *tso.Machine, capacity, objWords int) *Allocator {
 	a := &Allocator{
 		base:     m.AllocWords(capacity * objWords),
@@ -70,7 +71,7 @@ func NewAllocator(m *tso.Machine, capacity, objWords int) *Allocator {
 	for i := capacity - 1; i >= 0; i-- {
 		a.free = append(a.free, i)
 	}
-	m.SetMonitor(a)
+	m.AttachSink(a)
 	return a
 }
 
@@ -129,29 +130,27 @@ func (a *Allocator) check(kind string, thread int, addr tso.Addr, tick uint64) {
 	}
 }
 
-// StoreEnqueued implements tso.Monitor.
-func (a *Allocator) StoreEnqueued(thread int, addr tso.Addr, _ tso.Word, tick uint64) {
-	a.check("store", thread, addr, tick)
-}
-
-// StoreCommitted implements tso.Monitor. A commit into a freed object
-// means a buffered store outlived the object — the precise hazard the
-// Δ bound exists to prevent.
-func (a *Allocator) StoreCommitted(thread int, addr tso.Addr, _ tso.Word, _ uint64, tick uint64) {
-	a.check("commit", thread, addr, tick)
-}
-
-// LoadSatisfied implements tso.Monitor.
-func (a *Allocator) LoadSatisfied(thread int, addr tso.Addr, _ tso.Word, fromBuffer bool, tick uint64) {
-	if fromBuffer {
-		return // forwarded from the thread's own buffer; no memory touch
+// Emit implements tso.Sink. Stores, commits and RMWs into a freed
+// object are violations — a commit into one means a buffered store
+// outlived the object, the precise hazard the Δ bound exists to
+// prevent. A load is one only when it read memory: a value forwarded
+// from the thread's own store buffer touches no memory. Fences touch
+// no object.
+//
+//tbtso:fencefree
+func (a *Allocator) Emit(e tso.Event) {
+	switch e.Kind {
+	case tso.EvStore:
+		a.check("store", e.Thread, e.Addr, e.Tick)
+	case tso.EvCommit:
+		a.check("commit", e.Thread, e.Addr, e.Tick)
+	case tso.EvLoad:
+		if !e.FromBuf {
+			a.check("load", e.Thread, e.Addr, e.Tick)
+		}
+	case tso.EvRMW:
+		a.check("rmw", e.Thread, e.Addr, e.Tick)
 	}
-	a.check("load", thread, addr, tick)
-}
-
-// RMWExecuted implements tso.Monitor.
-func (a *Allocator) RMWExecuted(thread int, addr tso.Addr, _, _ tso.Word, tick uint64) {
-	a.check("rmw", thread, addr, tick)
 }
 
 // Violations returns the recorded memory-safety violations.

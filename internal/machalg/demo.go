@@ -26,7 +26,7 @@ type ReclaimRaceOutcome struct {
 // themselves be subject to the store buffering they orchestrate.
 //
 // Any sinks are attached to the machine, so the run can be traced
-// (tbtso-trace -demo reclaim).
+// (tbtso-sim -demo reclaim -trace FILE).
 //
 //tbtso:ignore escape harness handshake flags and the captured outcome struct intentionally bypass the model to direct the schedule; they are not algorithm memory
 func ReclaimRaceDemo(delta uint64, mode HPMode, sinks ...tso.Sink) ReclaimRaceOutcome {
@@ -136,7 +136,7 @@ func DequeDemo(delta uint64, bufferCap int, waitDelta bool, seeds int) DequeOutc
 }
 
 // DequeOnce runs a single seed of the work-stealing harvest with the
-// given sinks attached (tbtso-trace -demo deque). The returned outcome
+// given sinks attached (tbtso-sim -demo deque -trace FILE). The returned outcome
 // reports duplicates/losses for that one seed.
 func DequeOnce(delta uint64, bufferCap int, waitDelta bool, seed int64, sinks ...tso.Sink) DequeOutcome {
 	out := DequeOutcome{SeedsTried: 1}

@@ -170,17 +170,26 @@ func TestLitmusSuiteMonitoredClean(t *testing.T) {
 	}
 }
 
-// TestFuzzSmokeMonitoredClean threads the monitor set through the
-// differential fuzzer's Config.Sinks: a short campaign's machine side
-// runs entirely under residency verification and must stay clean.
+// TestFuzzSmokeMonitoredClean runs a short differential-fuzzer campaign
+// through Config.Flight with a monitor factory: every seed's machine
+// runs are under residency and drain verification, must stay clean, and
+// must actually have been recorded.
 func TestFuzzSmokeMonitoredClean(t *testing.T) {
-	set := monitor.NewSet(monitor.NewResidency(nil, 0), monitor.NewDrainAccounting())
-	rep := fuzz.Run(fuzz.Config{Sinks: []tso.Sink{set}, Deltas: []int{0, 2}}, 4, 1)
+	flight := monitor.NewShardedFlight(func() *monitor.Set {
+		return monitor.NewSet(monitor.NewResidency(nil, 0), monitor.NewDrainAccounting())
+	}, 0)
+	flight.Begin(1)
+	rep := fuzz.Run(fuzz.Config{Flight: flight, Deltas: []int{0, 2}}, 4, 1)
 	if len(rep.Mismatches) > 0 {
 		t.Fatalf("fuzz mismatches: %v", rep.Mismatches)
 	}
-	if !set.Ok() {
-		t.Fatalf("monitored fuzz campaign tripped: %v", set.Violations())
+	flight.Compact(5)
+	events, violations := flight.Totals()
+	if violations != 0 {
+		t.Fatalf("monitored fuzz campaign tripped %d violations: %v", violations, flight.Violations())
+	}
+	if events == 0 {
+		t.Fatal("monitored fuzz campaign recorded no events")
 	}
 }
 

@@ -40,7 +40,7 @@ func NewPerfetto() *Perfetto {
 }
 
 // PerfettoFromEvents converts an already-recorded trace (e.g. from
-// Machine.Trace or a RingSink) into an exporter. names may be nil, in
+// a tso.Recorder or a RingSink) into an exporter. names may be nil, in
 // which case threads are labeled T0, T1, ...
 func PerfettoFromEvents(events []tso.Event, names []string, delta uint64) *Perfetto {
 	p := NewPerfetto()

@@ -164,7 +164,8 @@ func TestPerfettoFlowLatencyMatchesTicks(t *testing.T) {
 }
 
 func TestPerfettoFromEvents(t *testing.T) {
-	cfg := tso.Config{Delta: 25, Policy: tso.DrainRandom, Seed: 2, Trace: true}
+	rec := &tso.Recorder{}
+	cfg := tso.Config{Delta: 25, Policy: tso.DrainRandom, Seed: 2, Sinks: []tso.Sink{rec}}
 	m := tso.New(cfg)
 	a := m.AllocWords(1)
 	m.Spawn("solo", func(th *tso.Thread) {
@@ -174,7 +175,7 @@ func TestPerfettoFromEvents(t *testing.T) {
 	if res := m.Run(); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	p := PerfettoFromEvents(m.Trace(), []string{"solo"}, 25)
+	p := PerfettoFromEvents(rec.Events, []string{"solo"}, 25)
 	var buf bytes.Buffer
 	if err := p.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

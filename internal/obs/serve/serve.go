@@ -2,8 +2,9 @@
 // metrics registry in Prometheus text exposition format and as JSON,
 // the monitor violation report, a flight-recorder dump, health, and
 // net/http/pprof — so a long fuzz campaign or bench run is scrapeable
-// and debuggable while it executes. All five commands wire it through
-// the shared flag helper in flags.go (-obs.listen, -obs.monitor).
+// and debuggable while it executes. tbtso-sim, tbtso-bench, tbtso-fuzz
+// and tbtso-verify wire it through the shared flag helper in flags.go
+// (-obs.listen, -obs.monitor).
 // See docs/OBSERVABILITY.md for curl examples.
 package serve
 
@@ -34,10 +35,10 @@ type FlightDumper interface {
 // source /coverage is 404.
 type Server struct {
 	reg *obs.Registry
-	rec FlightDumper
 	mux *http.ServeMux
 
 	mu         sync.Mutex
+	rec        FlightDumper
 	set        *monitor.Set
 	violSrcs   []func() []monitor.Violation
 	coverageFn func() *coverage.Snapshot
@@ -74,8 +75,13 @@ func (s *Server) SetMonitors(set *monitor.Set) {
 }
 
 // SetFlightRecorder attaches the dumper behind /flightrecorder — the
-// classic FlightRecorder or a campaign's ShardedFlight.
-func (s *Server) SetFlightRecorder(rec FlightDumper) { s.rec = rec }
+// classic FlightRecorder or a campaign's ShardedFlight. Like the other
+// setters it is safe to call while the endpoint is serving.
+func (s *Server) SetFlightRecorder(rec FlightDumper) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rec = rec
+}
 
 // AddViolations registers an extra violation source folded into
 // /violations and /healthz alongside the monitor set — e.g. a sharded
@@ -192,12 +198,15 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
-	if s.rec == nil {
+	s.mu.Lock()
+	rec := s.rec
+	s.mu.Unlock()
+	if rec == nil {
 		http.Error(w, "no flight recorder attached (run with -obs.monitor)", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := s.rec.Dump(w); err != nil {
+	if err := rec.Dump(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -131,6 +131,34 @@ func TestFlightRecorderHandlerWithoutRecorder(t *testing.T) {
 	}
 }
 
+// TestSetFlightRecorderWhileServing pins that attaching a recorder is
+// safe while /flightrecorder is being scraped — tbtso-fuzz attaches its
+// campaign recorder after the endpoint is already up. Run under -race.
+func TestSetFlightRecorderWhileServing(t *testing.T) {
+	srv := New(obs.NewRegistry())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			w := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/flightrecorder", nil))
+			if c := w.Result().StatusCode; c != http.StatusOK && c != http.StatusNotFound {
+				t.Errorf("scrape %d: status %d", i, c)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		srv.SetFlightRecorder(monitor.NewShardedFlight(nil, 4))
+	}
+	<-done
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/flightrecorder", nil))
+	if w.Result().StatusCode != http.StatusOK {
+		t.Fatalf("status after attach = %d, want 200", w.Result().StatusCode)
+	}
+}
+
 func TestParseMonitors(t *testing.T) {
 	reg := obs.NewRegistry()
 	set, err := ParseMonitors("residency=40, drain,smr", reg)

@@ -1,65 +1,58 @@
 package tso
 
 import (
-	"sync"
 	"testing"
 )
 
-// recordingMonitor captures monitor callbacks for verification.
-type recordingMonitor struct {
-	mu        sync.Mutex
-	enqueued  int
-	committed int
-	loads     int
-	rmws      int
-	lastEnq   uint64
-}
-
-func (r *recordingMonitor) StoreEnqueued(_ int, _ Addr, _ Word, tick uint64) {
-	r.mu.Lock()
-	r.enqueued++
-	r.lastEnq = tick
-	r.mu.Unlock()
-}
-func (r *recordingMonitor) StoreCommitted(_ int, _ Addr, _ Word, enq, tick uint64) {
-	r.mu.Lock()
-	r.committed++
-	if tick < enq {
-		panic("commit before enqueue")
-	}
-	r.mu.Unlock()
-}
-func (r *recordingMonitor) LoadSatisfied(_ int, _ Addr, _ Word, _ bool, _ uint64) {
-	r.mu.Lock()
-	r.loads++
-	r.mu.Unlock()
-}
-func (r *recordingMonitor) RMWExecuted(_ int, _ Addr, _, _ Word, _ uint64) {
-	r.mu.Lock()
-	r.rmws++
-	r.mu.Unlock()
-}
-
-func TestMonitorSeesAllTraffic(t *testing.T) {
-	mon := &recordingMonitor{}
-	m := New(Config{Policy: DrainEager, Seed: 1})
-	m.SetMonitor(mon)
-	a := m.AllocWords(2)
-	m.Spawn("w", func(th *Thread) {
-		th.Store(a, 1)
-		th.Store(a+1, 2)
-		_ = th.Load(a)
-		th.CAS(a, 1, 5)
-		th.FetchAdd(a+1, 1)
-	})
-	if res := m.Run(); res.Err != nil {
-		t.Fatalf("run: %v", res.Err)
-	}
-	if mon.enqueued != 2 || mon.committed != 2 {
-		t.Fatalf("stores: enq=%d commit=%d, want 2/2", mon.enqueued, mon.committed)
-	}
-	if mon.loads != 1 || mon.rmws != 2 {
-		t.Fatalf("loads=%d rmws=%d, want 1/2", mon.loads, mon.rmws)
+// TestSinkSeesAllTraffic pins the event stream a sink observes for one
+// thread's store/store/load/CAS/FetchAdd: every store is enqueued and
+// committed (commit never before enqueue), the one load and both RMWs
+// are reported, and the load carries FromBuf — forwarded from the
+// buffer while the store is pending, from memory once it has drained.
+func TestSinkSeesAllTraffic(t *testing.T) {
+	for _, tc := range []struct {
+		policy  DrainPolicy
+		fromBuf bool
+	}{
+		{DrainEager, false},      // the first store drains before the load runs
+		{DrainAdversarial, true}, // no voluntary drain: the load is forwarded
+	} {
+		rec := &Recorder{}
+		m := New(Config{Policy: tc.policy, Seed: 1, Sinks: []Sink{rec}})
+		a := m.AllocWords(2)
+		m.Spawn("w", func(th *Thread) {
+			th.Store(a, 1)
+			th.Store(a+1, 2)
+			_ = th.Load(a)
+			th.CAS(a, 1, 5)
+			th.FetchAdd(a+1, 1)
+		})
+		if res := m.Run(); res.Err != nil {
+			t.Fatalf("%v: run: %v", tc.policy, res.Err)
+		}
+		counts := map[EventKind]int{}
+		for _, e := range rec.Events {
+			counts[e.Kind]++
+			switch e.Kind {
+			case EvCommit:
+				if e.Tick < e.Enq {
+					t.Fatalf("%v: commit at %d before enqueue at %d", tc.policy, e.Tick, e.Enq)
+				}
+			case EvLoad:
+				if e.FromBuf != tc.fromBuf || e.Val != 1 {
+					t.Errorf("%v: load %+v, want FromBuf=%v Val=1", tc.policy, e, tc.fromBuf)
+				}
+			}
+			if e.Kind != EvLoad && e.FromBuf {
+				t.Errorf("%v: FromBuf set on a %v event", tc.policy, e.Kind)
+			}
+		}
+		if counts[EvStore] != 2 || counts[EvCommit] != 2 {
+			t.Fatalf("%v: stores: enq=%d commit=%d, want 2/2", tc.policy, counts[EvStore], counts[EvCommit])
+		}
+		if counts[EvLoad] != 1 || counts[EvRMW] != 2 {
+			t.Fatalf("%v: loads=%d rmws=%d, want 1/2", tc.policy, counts[EvLoad], counts[EvRMW])
+		}
 	}
 }
 
@@ -92,7 +85,7 @@ func TestSettersPanicAfterRun(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"AllocWords":   func() { m.AllocWords(1) },
 		"SetWord":      func() { m.SetWord(1, 1) },
-		"SetMonitor":   func() { m.SetMonitor(nil) },
+		"AttachSink":   func() { m.AttachSink(&Recorder{}) },
 		"SetTickBoard": func() { m.SetTickBoard(1) },
 		"Spawn":        func() { m.Spawn("x", func(*Thread) {}) },
 		"Run":          func() { m.Run() },

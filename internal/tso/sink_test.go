@@ -109,27 +109,27 @@ func TestDrainCauseAttribution(t *testing.T) {
 	}
 }
 
-// TestSinkSeesTraceEvents asserts an attached sink observes exactly the
-// event stream the legacy Config.Trace API records, and that BeginRun
-// delivers thread names and Δ.
+// TestSinkSeesTraceEvents asserts every attached sink observes the
+// same event stream in attachment order (a Recorder and a BeginRun-aware
+// sink side by side), and that BeginRun delivers thread names and Δ.
 func TestSinkSeesTraceEvents(t *testing.T) {
-	sink := &collectSink{}
-	cfg := Config{Delta: 40, Policy: DrainRandom, Seed: 11, Trace: true, Sinks: []Sink{sink}}
+	sink, rec := &collectSink{}, &Recorder{}
+	cfg := Config{Delta: 40, Policy: DrainRandom, Seed: 11, Sinks: []Sink{sink, rec}}
 	m := mixedWorkload(cfg)
 	res := m.Run()
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	tr := m.Trace()
+	tr := rec.Events
 	if len(tr) == 0 {
 		t.Fatal("empty trace")
 	}
 	if len(sink.events) != len(tr) {
-		t.Fatalf("sink saw %d events, trace recorded %d", len(sink.events), len(tr))
+		t.Fatalf("sink saw %d events, recorder kept %d", len(sink.events), len(tr))
 	}
 	for i := range tr {
 		if sink.events[i] != tr[i] {
-			t.Fatalf("event %d differs: sink %+v trace %+v", i, sink.events[i], tr[i])
+			t.Fatalf("event %d differs: sink %+v recorder %+v", i, sink.events[i], tr[i])
 		}
 	}
 	if sink.delta != 40 || len(sink.names) != 3 || sink.names[0] != "worker" {

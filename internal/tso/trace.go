@@ -103,6 +103,10 @@ type Event struct {
 	// committing store was enqueued, so Tick-Enq is the store's commit
 	// latency.
 	Enq uint64
+	// FromBuf is meaningful for EvLoad events only: the value was
+	// forwarded from the thread's own store buffer, so the load did not
+	// touch memory. It is not rendered by String.
+	FromBuf bool
 }
 
 func (e Event) String() string {
@@ -136,16 +140,17 @@ type RunObserver interface {
 	BeginRun(threadNames []string, delta uint64)
 }
 
-// traceSink is the in-memory sink backing the Config.Trace /
-// Machine.Trace API: it simply appends every event.
-type traceSink struct {
-	events []Event
+// Recorder is a Sink that keeps the whole event stream in order: the
+// execution trace of a run. Attach it like any other sink (Config.Sinks
+// or AttachSink) and read Events after the run returns.
+type Recorder struct {
+	Events []Event
 }
 
 // Emit implements Sink.
 //
 //tbtso:fencefree
-func (s *traceSink) Emit(e Event) { s.events = append(s.events, e) }
+func (r *Recorder) Emit(e Event) { r.Events = append(r.Events, e) }
 
 // AttachSink registers an additional event sink. It may only be called
 // before Run.
@@ -164,13 +169,4 @@ func (m *Machine) emit(e Event) {
 	for _, s := range m.sinks {
 		s.Emit(e)
 	}
-}
-
-// Trace returns the recorded execution trace (empty unless Config.Trace
-// was set). It is only meaningful after Run returns.
-func (m *Machine) Trace() []Event {
-	if m.tsink == nil {
-		return nil
-	}
-	return m.tsink.events
 }

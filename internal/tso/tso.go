@@ -128,15 +128,12 @@ type Config struct {
 	// artificially as expensive as fenced ones. Semantically it only
 	// ADDS admissible interleavings of the same actions.
 	ParallelDrains bool
-	// Monitor, if non-nil, observes memory traffic (used for
-	// use-after-free detection by higher layers).
-	Monitor Monitor
-	// Trace, if true, records an execution trace retrievable via
-	// Machine.Trace.
-	Trace bool
 	// Sinks are event sinks attached before the run starts; each
 	// machine event (store/commit/load/rmw/fence) is streamed to every
-	// sink in order. Equivalent to calling AttachSink for each.
+	// sink in order. Equivalent to calling AttachSink for each. Sinks
+	// are the machine's only observation channel: a Recorder keeps the
+	// execution trace, and higher layers (use-after-free detection,
+	// online monitors, flight recorders) are sinks too.
 	Sinks []Sink
 }
 
@@ -145,23 +142,6 @@ const DefaultMaxTicks = 2_000_000
 
 // DefaultDrainMargin is used when Config.DrainMargin is zero.
 const DefaultDrainMargin = 16
-
-// Monitor observes the memory traffic of a running machine. All methods
-// are invoked from the machine's scheduling goroutine, never
-// concurrently.
-type Monitor interface {
-	// StoreEnqueued is called when a thread buffers a store.
-	StoreEnqueued(thread int, a Addr, v Word, tick uint64)
-	// StoreCommitted is called when a buffered store reaches memory.
-	StoreCommitted(thread int, a Addr, v Word, enqueued, tick uint64)
-	// LoadSatisfied is called when a load completes. fromBuffer reports
-	// whether the value was forwarded from the thread's own store
-	// buffer.
-	LoadSatisfied(thread int, a Addr, v Word, fromBuffer bool, tick uint64)
-	// RMWExecuted is called when an atomic read-modify-write completes
-	// against memory.
-	RMWExecuted(thread int, a Addr, old, new Word, tick uint64)
-}
 
 // DrainStats breaks the run's commits down by drain cause. Every
 // commit has exactly one cause, so the fields sum to Stats.Commits
@@ -273,9 +253,9 @@ type storeBuf struct {
 	head int
 }
 
-func (b *storeBuf) size() int         { return len(b.q) - b.head }
-func (b *storeBuf) oldest() *sbEntry  { return &b.q[b.head] }
-func (b *storeBuf) push(e sbEntry)    { b.q = append(b.q, e) }
+func (b *storeBuf) size() int          { return len(b.q) - b.head }
+func (b *storeBuf) oldest() *sbEntry   { return &b.q[b.head] }
+func (b *storeBuf) push(e sbEntry)     { b.q = append(b.q, e) }
 func (b *storeBuf) pending() []sbEntry { return b.q[b.head:] }
 
 func (b *storeBuf) pop() sbEntry {
@@ -330,30 +310,29 @@ type threadState struct {
 
 // Machine is a TBTSO[Δ] abstract machine. Configure it, Spawn threads
 // (or compile a Prog), then Run (or ExecProgram). After a run finishes
-// the machine supports inspection (PeekWord, Trace, Result) and can be
+// the machine supports inspection (PeekWord, Result) and can be
 // returned to a fresh pre-run state with Reset, reusing its memory,
 // store buffers and scheduler scratch across an entire campaign.
 type Machine struct {
-	cfg    Config
-	mem    []Word        // dense machine memory, grown by AllocWords
-	memOv  map[Addr]Word // fallback for addresses never covered by AllocWords
-	sb     []storeBuf
-	holder int // memory subsystem lock holder; -1 if free
-	clock  uint64
-	rng    *rand.Rand
-	src    fastSource // rng's source: stdlib-identical stream, fast re-seeding
-	n      int // thread count of the current run (either engine)
-	threads []*threadState
-	itr     []progThread // direct-execution engine thread states
-	interp  bool         // current run uses the direct-execution engine
-	pending []*request
-	drained []bool  // whether thread's action this tick was a dequeue
-	perm    []int   // reusable scheduler permutation (same draws as rand.Perm)
-	names   []string // cached "T0","T1",... for ExecProgram's RunObservers
-	next    Addr    // bump allocator for AllocWords
-	stats   Stats
+	cfg      Config
+	mem      []Word        // dense machine memory, grown by AllocWords
+	memOv    map[Addr]Word // fallback for addresses never covered by AllocWords
+	sb       []storeBuf
+	holder   int // memory subsystem lock holder; -1 if free
+	clock    uint64
+	rng      *rand.Rand
+	src      fastSource // rng's source: stdlib-identical stream, fast re-seeding
+	n        int        // thread count of the current run (either engine)
+	threads  []*threadState
+	itr      []progThread // direct-execution engine thread states
+	interp   bool         // current run uses the direct-execution engine
+	pending  []*request
+	drained  []bool   // whether thread's action this tick was a dequeue
+	perm     []int    // reusable scheduler permutation (same draws as rand.Perm)
+	names    []string // cached "T0","T1",... for ExecProgram's RunObservers
+	next     Addr     // bump allocator for AllocWords
+	stats    Stats
 	sinks    []Sink
-	tsink    *traceSink // backs Config.Trace / Machine.Trace
 	halted   chan struct{}
 	haltErr  error
 	haltMu   sync.Mutex
@@ -408,11 +387,6 @@ func (m *Machine) Reset(cfg Config) {
 	m.stats = Stats{}
 	m.sinks = m.sinks[:0]
 	m.sinks = append(m.sinks, cfg.Sinks...)
-	m.tsink = nil
-	if cfg.Trace {
-		m.tsink = &traceSink{}
-		m.sinks = append(m.sinks, m.tsink)
-	}
 	m.halted = nil // created on demand: only the goroutine engine's threads select on it
 	m.haltErr = nil
 	m.started = false
@@ -475,15 +449,6 @@ func (m *Machine) sizeRun(n int) {
 // Delta reports the configured bound in ticks (0 = unbounded TSO).
 func (m *Machine) Delta() uint64 { return m.cfg.Delta }
 
-// SetMonitor installs a memory-traffic monitor. It may only be called
-// before Run; it overrides Config.Monitor.
-func (m *Machine) SetMonitor(mon Monitor) {
-	if m.started {
-		panic("tso: SetMonitor after Run")
-	}
-	m.cfg.Monitor = mon
-}
-
 // SetTickBoard installs the §6.2 time array's base address (normally
 // obtained from AllocWords after New, which is why this is a setter
 // rather than only a Config field). It may only be called before Run.
@@ -536,7 +501,7 @@ func (m *Machine) SetWord(a Addr, v Word) {
 func (m *Machine) PeekWord(a Addr) Word { return m.memLoad(a) }
 
 // Finished reports whether a run was started and has completed, i.e.
-// the machine is safe to inspect with PeekWord/Trace.
+// the machine is safe to inspect with PeekWord.
 func (m *Machine) Finished() bool { return m.started && m.finished }
 
 // Spawn registers a thread program. Threads are numbered in spawn order

@@ -102,15 +102,15 @@ func checkTraceShape(t *testing.T, path string) {
 	}
 }
 
-// TestTraceCLI exercises tbtso-trace's demo and litmus modes and
-// validates the exported Perfetto JSON shape.
+// TestTraceCLI exercises tbtso-sim -trace in its demo and litmus modes
+// and validates the exported Perfetto JSON shape.
 func TestTraceCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke takes a few seconds; skipped with -short")
 	}
 	t.Run("demo-reclaim", func(t *testing.T) {
 		out := filepath.Join(t.TempDir(), "trace.json")
-		stdout := runCmdStdout(t, 2*time.Minute, "./cmd/tbtso-trace", "-demo", "reclaim", "-o", out)
+		stdout := runCmdStdout(t, 2*time.Minute, "./cmd/tbtso-sim", "-demo", "reclaim", "-delta", "50", "-trace", out)
 		for _, want := range []string{"reclaim race", "wrote", "metrics:", "machine.commits"} {
 			if !strings.Contains(stdout, want) {
 				t.Fatalf("output missing %q:\n%s", want, stdout)
@@ -121,7 +121,7 @@ func TestTraceCLI(t *testing.T) {
 	t.Run("litmus-sb", func(t *testing.T) {
 		out := filepath.Join(t.TempDir(), "trace.json")
 		stdout := runCmdStdout(t, 2*time.Minute,
-			"./cmd/tbtso-trace", "-test", "SB", "-delta", "40", "-seed", "3", "-o", out)
+			"./cmd/tbtso-sim", "-test", "SB", "-delta", "40", "-seed", "3", "-policy", "random", "-trace", out)
 		if !strings.Contains(stdout, "SB (Δ=40") {
 			t.Fatalf("missing litmus outcome line:\n%s", stdout)
 		}
