@@ -43,13 +43,20 @@ bench:
 bench-guard:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Figure-JSON regression gates: diff the committed baselines against
-# themselves (structure/codec sanity). Against a fresh run:
-#   go run ./cmd/tbtso-bench -figure mc -json > new.json
-#   go run ./cmd/tbtso-bench -compare BENCH_mc.json new.json
-# (same for -figure sim and BENCH_sim.json)
+# Figure-JSON regression gates. The mc figure runs fresh and is diffed
+# against the committed BENCH_mc.json: its state and outcome counts are
+# host-independent, so states may not grow at all (-compare.states 1)
+# and outcomes must match exactly. Wall time is reported, not trusted —
+# the smallest cells take tens of microseconds, where one scheduler
+# hiccup is a 10-100x swing — so only a gross slowdown fails
+# (-compare.time 100). BENCH_sim.json is diffed against itself
+# (structure/codec sanity); against a fresh run:
+#   go run ./cmd/tbtso-bench -figure sim -json > new.json
+#   go run ./cmd/tbtso-bench -compare BENCH_sim.json new.json
 bench-compare:
-	$(GO) run ./cmd/tbtso-bench -compare BENCH_mc.json BENCH_mc.json
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./cmd/tbtso-bench -figure mc -json > "$$tmp" && \
+	$(GO) run ./cmd/tbtso-bench -compare BENCH_mc.json -compare.states 1 -compare.time 100 "$$tmp"
 	$(GO) run ./cmd/tbtso-bench -compare BENCH_sim.json BENCH_sim.json
 
 # Regenerate the simulator-throughput baseline (engine speedup + fuzz

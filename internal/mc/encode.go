@@ -8,12 +8,13 @@ import "encoding/binary"
 // unsigned varints; values that may be negative (register/memory words,
 // buffered values) use zigzag varints. The encoding is canonical —
 // equal states encode to equal bytes — so it doubles as the visited-set
-// key, and it is losslessly decodable so the frontier stores encoded
-// states and workers rehydrate them into reusable scratch structs.
+// key, and it is losslessly decodable so the frontier holds the visited
+// set's arena copies of encodings (visited.go) and workers rehydrate
+// them into reusable scratch structs.
 //
 // A litmus-sized state fits in a few dozen bytes versus a few hundred
-// for the reference explorer's fmt-built key, and encoding is a single
-// append pass with no formatting or interface boxing.
+// for the reference explorer's decimal text key, and encoding is a
+// single append pass with no formatting or interface boxing.
 
 // appendThread appends thread i's local state (everything except
 // shared memory). Split out so symmetry canonicalization can compare
@@ -49,35 +50,27 @@ func (s *state) appendState(dst []byte) []byte {
 	return dst
 }
 
-// uvarintStr is binary.Uvarint over a string, so frontier entries (the
-// visited set's interned key strings) decode without a []byte copy.
-func uvarintStr(s string, i int) (uint64, int) {
-	var x uint64
-	var shift uint
-	for ; i < len(s); i++ {
-		b := s[i]
-		if b < 0x80 {
-			return x | uint64(b)<<shift, i + 1
-		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
+// uvarint and varint read one varint of src at pos and return it with
+// the position after it.
+func uvarint(src []byte, pos int) (uint64, int) {
+	x, n := binary.Uvarint(src[pos:])
+	if n <= 0 {
+		panic("mc: truncated state encoding")
 	}
-	panic("mc: truncated state encoding")
+	return x, pos + n
 }
 
-// varintStr is binary.Varint (zigzag) over a string.
-func varintStr(s string, i int) (int64, int) {
-	ux, n := uvarintStr(s, i)
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
+func varint(src []byte, pos int) (int64, int) {
+	x, n := binary.Varint(src[pos:])
+	if n <= 0 {
+		panic("mc: truncated state encoding")
 	}
-	return x, n
+	return x, pos + n
 }
 
 // decodeState rehydrates src (produced by appendState for a state of
 // program p) into dst, reusing dst's slice capacity.
-func decodeState(dst *state, p Program, src string) {
+func decodeState(dst *state, p Program, src []byte) {
 	nt := len(p.Threads)
 	dst.pc = grow(dst.pc, nt)
 	dst.wait = grow(dst.wait, nt)
@@ -99,34 +92,34 @@ func decodeState(dst *state, p Program, src string) {
 	var u uint64
 	var v int64
 	for i := 0; i < nt; i++ {
-		u, pos = uvarintStr(src, pos)
+		u, pos = uvarint(src, pos)
 		dst.pc[i] = int(u)
-		u, pos = uvarintStr(src, pos)
+		u, pos = uvarint(src, pos)
 		dst.wait[i] = int(u)
 		dst.armed[i] = src[pos] != 0
 		pos++
-		u, pos = uvarintStr(src, pos)
+		u, pos = uvarint(src, pos)
 		n := int(u)
 		if cap(dst.bufs[i]) < n {
 			dst.bufs[i] = make([]bufEntry, n)
 		}
 		dst.bufs[i] = dst.bufs[i][:n]
 		for j := 0; j < n; j++ {
-			u, pos = uvarintStr(src, pos)
+			u, pos = uvarint(src, pos)
 			dst.bufs[i][j].addr = int(u)
-			v, pos = varintStr(src, pos)
+			v, pos = varint(src, pos)
 			dst.bufs[i][j].val = int(v)
-			u, pos = uvarintStr(src, pos)
+			u, pos = uvarint(src, pos)
 			dst.bufs[i][j].age = int(u)
 		}
 		dst.regs[i] = grow(dst.regs[i], p.Regs)
 		for r := 0; r < p.Regs; r++ {
-			v, pos = varintStr(src, pos)
+			v, pos = varint(src, pos)
 			dst.regs[i][r] = int(v)
 		}
 	}
 	for a := 0; a < p.Vars; a++ {
-		v, pos = varintStr(src, pos)
+		v, pos = varint(src, pos)
 		dst.mem[a] = int(v)
 	}
 	if pos != len(src) {
@@ -155,14 +148,14 @@ func appendRegs(dst []byte, regs [][]int) []byte {
 
 // decodeRegs is the inverse of appendRegs for a program with nt
 // threads of nr registers each.
-func decodeRegs(src string, nt, nr int) [][]int {
+func decodeRegs(src []byte, nt, nr int) [][]int {
 	out := make([][]int, nt)
 	pos := 0
 	var v int64
 	for i := range out {
 		out[i] = make([]int, nr)
 		for r := 0; r < nr; r++ {
-			v, pos = varintStr(src, pos)
+			v, pos = varint(src, pos)
 			out[i][r] = int(v)
 		}
 	}

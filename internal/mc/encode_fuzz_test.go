@@ -20,30 +20,11 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 	f.Add(int64(-1), int64(1<<40))
 	f.Fuzz(func(t *testing.T, progSeed, stateSeed int64) {
 		p := genProgram(progSeed)
-		rng := rand.New(rand.NewSource(stateSeed))
-		s := newState(p)
-		for i := range p.Threads {
-			s.pc[i] = rng.Intn(len(p.Threads[i]) + 1)
-			s.wait[i] = rng.Intn(5)
-			s.armed[i] = rng.Intn(2) == 1
-			for j, n := 0, rng.Intn(3); j < n; j++ {
-				s.bufs[i] = append(s.bufs[i], bufEntry{
-					addr: rng.Intn(p.Vars),
-					val:  rng.Intn(7) - 3, // negatives exercise zigzag
-					age:  rng.Intn(6),
-				})
-			}
-			for r := range s.regs[i] {
-				s.regs[i][r] = rng.Intn(9) - 4
-			}
-		}
-		for a := range s.mem {
-			s.mem[a] = rng.Intn(9) - 4
-		}
+		s := randomState(p, rand.New(rand.NewSource(stateSeed)))
 
 		enc := s.appendState(nil)
 		var back state
-		decodeState(&back, p, string(enc))
+		decodeState(&back, p, enc)
 		if got, want := back.outcome(), s.outcome(); got != want {
 			t.Fatalf("outcome changed across round trip: %q vs %q", got, want)
 		}
@@ -55,9 +36,35 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 		// The register-file encoding used for compact outcome
 		// accumulation must round-trip too.
 		regsEnc := appendRegs(nil, s.regs)
-		regsBack := decodeRegs(string(regsEnc), len(p.Threads), p.Regs)
+		regsBack := decodeRegs(regsEnc, len(p.Threads), p.Regs)
 		if got, want := outcomeString(regsBack), outcomeString(s.regs); got != want {
 			t.Fatalf("regs round trip: %q vs %q", got, want)
 		}
 	})
+}
+
+// randomState draws a pseudo-random but shape-valid state of p: any pc,
+// armed or idle waits, buffers of up to two entries with ages past any
+// small Δ, and negative words.
+func randomState(p Program, rng *rand.Rand) *state {
+	s := newState(p)
+	for i := range p.Threads {
+		s.pc[i] = rng.Intn(len(p.Threads[i]) + 1)
+		s.wait[i] = rng.Intn(5)
+		s.armed[i] = rng.Intn(2) == 1
+		for j, n := 0, rng.Intn(3); j < n; j++ {
+			s.bufs[i] = append(s.bufs[i], bufEntry{
+				addr: rng.Intn(p.Vars),
+				val:  rng.Intn(7) - 3, // negatives exercise zigzag
+				age:  rng.Intn(6),
+			})
+		}
+		for r := range s.regs[i] {
+			s.regs[i][r] = rng.Intn(9) - 4
+		}
+	}
+	for a := range s.mem {
+		s.mem[a] = rng.Intn(9) - 4
+	}
+	return s
 }

@@ -107,6 +107,7 @@ func (e *InterruptedError) Unwrap() error { return e.Cause }
 
 // engine is one parallel exploration: program, reduction gates, the
 // sharded visited set, and the shared counters workers coordinate on.
+// Counters only one worker writes live on the worker instead.
 type engine struct {
 	p          Program
 	delta      int
@@ -120,18 +121,16 @@ type engine struct {
 
 	vis     *visited
 	workers []*worker
-
-	pending     atomic.Int64 // states queued but not yet expanded
-	states      atomic.Int64 // distinct canonical states admitted
-	transitions atomic.Int64 // successors generated
-	dedup       atomic.Int64 // successors already in the visited set
-	porPrunes   atomic.Int64 // states expanded via a single invisible dequeue
-	collapses   atomic.Int64 // terminal collapses (drain tails skipped)
-	truncated   atomic.Bool
-	interrupted atomic.Bool // Options.Context cancelled; workers drain without expanding
-
 	start   time.Time
 	metrics *engineMetrics
+
+	// The counters every worker writes sit on their own cache lines,
+	// away from the read-mostly fields above.
+	_           [64]byte
+	pending     atomic.Int64 // states queued but not yet expanded
+	states      atomic.Int64 // distinct canonical states admitted
+	truncated   atomic.Bool
+	interrupted atomic.Bool // Options.Context cancelled; workers drain without expanding
 }
 
 type engineMetrics struct {
@@ -154,22 +153,31 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 }
 
 // worker owns a LIFO stack of encoded frontier states plus all the
-// scratch the hot path needs, so steady-state expansion performs one
-// allocation per novel state (the visited set's interned key) and none
-// per transition.
+// scratch the hot path needs, so steady-state expansion allocates
+// nothing: frontier entries are the visited set's own arena slices, and
+// scratch states and buffers are reused across transitions.
 type worker struct {
 	e  *engine
 	id int
 
 	mu    sync.Mutex // guards stack (owner pops, thieves steal)
-	stack []string
+	stack [][]byte
 
 	cur, next state
 	enc       []byte
-	stealBuf  []string
+	stealBuf  [][]byte
 	symKeys   [][][]byte          // per identity group, per member: encoding scratch
 	outcomes  map[string]struct{} // reg-encoding outcome set
 	sinceTick int
+
+	// Owner-only counters, summed into Result once the workers finish;
+	// padded so a thief locking mu never shares their cache line.
+	_           [64]byte
+	transitions int // successors generated
+	dedup       int // successors already in the visited set
+	porPrunes   int // states expanded via a single invisible dequeue
+	collapses   int // terminal collapses (drain tails skipped)
+	_           [64]byte
 }
 
 // ExploreParallel explores p under TBTSO[Δ] with a work-stealing
@@ -200,7 +208,7 @@ func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
 		ageCap:     delta + 1,
 		maxStates:  int64(maxStates),
 		collapseOK: !opts.NoReduction,
-		vis:        newVisited(),
+		vis:        visitedPool.Get().(*visited),
 		start:      time.Now(),
 	}
 	if delta == 0 {
@@ -275,14 +283,20 @@ func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
 	if watcherDone != nil {
 		close(watcherDone)
 	}
+	// Every frontier stack is drained, so no arena slice is still held.
+	e.vis.reset()
+	visitedPool.Put(e.vis)
+	e.vis = nil
 
 	res := Result{
-		Outcomes:          e.mergeOutcomes(),
-		States:            int(e.states.Load()),
-		Transitions:       int(e.transitions.Load()),
-		DedupHits:         int(e.dedup.Load()),
-		PorPrunes:         int(e.porPrunes.Load()),
-		TerminalCollapses: int(e.collapses.Load()),
+		Outcomes: e.mergeOutcomes(),
+		States:   int(e.states.Load()),
+	}
+	for _, w := range e.workers {
+		res.Transitions += w.transitions
+		res.DedupHits += w.dedup
+		res.PorPrunes += w.porPrunes
+		res.TerminalCollapses += w.collapses
 	}
 	e.publishFinal(res)
 	if e.truncated.Load() {
@@ -306,7 +320,7 @@ func (e *engine) mergeOutcomes() map[string]bool {
 	}
 	out := make(map[string]bool, len(keys))
 	for k := range keys {
-		regs := decodeRegs(k, len(e.p.Threads), e.p.Regs)
+		regs := decodeRegs([]byte(k), len(e.p.Threads), e.p.Regs)
 		orbit(e.groups, regs, func(r [][]int) {
 			out[outcomeString(r)] = true
 		})
@@ -322,8 +336,8 @@ func (e *engine) publishFinal(res Result) {
 	m.states.Add(uint64(res.States))
 	m.transitions.Add(uint64(res.Transitions))
 	m.dedup.Add(uint64(res.DedupHits))
-	m.porPrunes.Add(uint64(e.porPrunes.Load()))
-	m.collapses.Add(uint64(e.collapses.Load()))
+	m.porPrunes.Add(uint64(res.PorPrunes))
+	m.collapses.Add(uint64(res.TerminalCollapses))
 	m.frontier.Set(0)
 	if el := time.Since(e.start).Seconds(); el > 0 {
 		m.statesPerSec.Set(int64(float64(res.States) / el))
@@ -351,15 +365,15 @@ func (e *engine) publishTick() {
 	m.pub.Store(false)
 }
 
-func (w *worker) pop() (string, bool) {
+func (w *worker) pop() ([]byte, bool) {
 	w.mu.Lock()
 	n := len(w.stack)
 	if n == 0 {
 		w.mu.Unlock()
-		return "", false
+		return nil, false
 	}
 	k := w.stack[n-1]
-	w.stack[n-1] = ""
+	w.stack[n-1] = nil
 	w.stack = w.stack[:n-1]
 	w.mu.Unlock()
 	return k, true
@@ -368,7 +382,7 @@ func (w *worker) pop() (string, bool) {
 // steal moves up to half of some victim's stack (oldest entries first,
 // which spreads shallow, wide subtrees) onto w's own stack and returns
 // one item to expand. Victim and own locks are never held together.
-func (w *worker) steal() (string, bool) {
+func (w *worker) steal() ([]byte, bool) {
 	ws := w.e.workers
 	for off := 1; off < len(ws); off++ {
 		v := ws[(w.id+off)%len(ws)]
@@ -381,9 +395,7 @@ func (w *worker) steal() (string, bool) {
 		take := (n + 1) / 2
 		w.stealBuf = append(w.stealBuf[:0], v.stack[:take]...)
 		rest := copy(v.stack, v.stack[take:])
-		for i := rest; i < n; i++ {
-			v.stack[i] = ""
-		}
+		clear(v.stack[rest:n])
 		v.stack = v.stack[:rest]
 		v.mu.Unlock()
 
@@ -393,7 +405,7 @@ func (w *worker) steal() (string, bool) {
 		w.mu.Unlock()
 		return k, true
 	}
-	return "", false
+	return nil, false
 }
 
 func (w *worker) run() {
@@ -436,7 +448,7 @@ func (e *engine) admit() bool {
 // the local stack when novel.
 func (w *worker) emit() {
 	e := w.e
-	e.transitions.Add(1)
+	w.transitions++
 	n := &w.next
 	if e.groups != nil {
 		w.canonicalize(n)
@@ -444,7 +456,7 @@ func (w *worker) emit() {
 	w.enc = n.appendState(w.enc[:0])
 	key, novel := e.vis.insert(w.enc)
 	if !novel {
-		e.dedup.Add(1)
+		w.dedup++
 		return
 	}
 	if !e.admit() {
@@ -480,7 +492,7 @@ func (w *worker) recordOutcome(s *state) {
 // expand generates every admissible successor of the encoded state,
 // mirroring the reference explorer's transition relation with the
 // reductions of reduce.go layered on top.
-func (w *worker) expand(key string) {
+func (w *worker) expand(key []byte) {
 	e := w.e
 	if e.truncated.Load() || e.interrupted.Load() {
 		return
@@ -505,7 +517,7 @@ func (w *worker) expand(key string) {
 			// remain, so the outcome is already fixed.
 			for i := range s.bufs {
 				if len(s.bufs[i]) > 0 {
-					e.collapses.Add(1)
+					w.collapses++
 					break
 				}
 			}
@@ -544,7 +556,7 @@ func (w *worker) expand(key string) {
 	// only transition worth exploring from this state.
 	if e.porOK {
 		if i := e.invisibleDequeue(s); i >= 0 {
-			e.porPrunes.Add(1)
+			w.porPrunes++
 			w.dequeue(s, i)
 			return
 		}

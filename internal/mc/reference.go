@@ -1,36 +1,50 @@
 package mc
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
-// This file is the ORIGINAL sequential explorer, kept verbatim in
-// spirit as the reference oracle for the parallel engine in explore.go.
-// It is deliberately naive — recursive DFS, full-state clone per
-// transition, fmt-built string keys — so the two implementations share
-// no hot-path code and differential tests (differential_test.go) pin
-// them to each other. Do not "optimize" this file; speed lives in
-// explore.go.
+// This file is the ORIGINAL sequential explorer, kept as the reference
+// oracle for the parallel engine in explore.go. It shares no hot-path
+// code with that engine, so the differential tests (differential_test.go)
+// pin the two to each other: even its memo key is a decimal text form
+// built here (appendKey), independent of encode.go's compact encoding.
+// The key is the one part made cheap — strconv into one reused buffer,
+// byte-identical to the fmt rendering TestAppendKeyMatchesFmt keeps as
+// its oracle. Everything else is
+// deliberately naive — recursive DFS, a full-state clone per transition
+// — and stays that way; speed lives in explore.go.
 
-// key canonicalizes the state for the reference explorer's memo table.
-func (s *state) key() string {
-	var b strings.Builder
+// appendKey appends the state's canonical text key for the reference
+// explorer's memo table, e.g. "p1.0.false;0=1@2,|0,0,;" per thread
+// followed by "0.1." for memory.
+func (s *state) appendKey(dst []byte) []byte {
 	for i := range s.pc {
-		fmt.Fprintf(&b, "p%d.%d.%v;", s.pc[i], s.wait[i], s.armed[i])
+		dst = append(dst, 'p')
+		dst = strconv.AppendInt(dst, int64(s.pc[i]), 10)
+		dst = append(dst, '.')
+		dst = strconv.AppendInt(dst, int64(s.wait[i]), 10)
+		dst = append(dst, '.')
+		dst = strconv.AppendBool(dst, s.armed[i])
+		dst = append(dst, ';')
 		for _, e := range s.bufs[i] {
-			fmt.Fprintf(&b, "%d=%d@%d,", e.addr, e.val, e.age)
+			dst = strconv.AppendInt(dst, int64(e.addr), 10)
+			dst = append(dst, '=')
+			dst = strconv.AppendInt(dst, int64(e.val), 10)
+			dst = append(dst, '@')
+			dst = strconv.AppendInt(dst, int64(e.age), 10)
+			dst = append(dst, ',')
 		}
-		b.WriteByte('|')
+		dst = append(dst, '|')
 		for _, r := range s.regs[i] {
-			fmt.Fprintf(&b, "%d,", r)
+			dst = strconv.AppendInt(dst, int64(r), 10)
+			dst = append(dst, ',')
 		}
-		b.WriteByte(';')
+		dst = append(dst, ';')
 	}
 	for _, v := range s.mem {
-		fmt.Fprintf(&b, "%d.", v)
+		dst = strconv.AppendInt(dst, int64(v), 10)
+		dst = append(dst, '.')
 	}
-	return b.String()
+	return dst
 }
 
 // ExploreSequential is the reference explorer: single-threaded DFS with
@@ -61,17 +75,18 @@ func ExploreSequentialBounded(p Program, delta, maxStates int) (res Result, err 
 		ageCap = 0 // ages are irrelevant without a bound; keep them 0
 	}
 
+	var key []byte // reused: only a novel key is copied, into seen
 	var dfs func(s *state)
 	dfs = func(s *state) {
 		if res.States >= maxStates {
 			complete = false
 			return
 		}
-		k := s.key()
-		if seen[k] {
+		key = s.appendKey(key[:0])
+		if seen[string(key)] {
 			return
 		}
-		seen[k] = true
+		seen[string(key)] = true
 		res.States++
 
 		// Forced dequeues: under TBTSO[Δ] an entry at age ≥ Δ must
